@@ -1,8 +1,7 @@
 """Accuracy and reduction metrics used throughout the evaluation (Section 7).
 
-All statistics are implemented from scratch (Spearman included) so the
-library has no runtime dependency beyond numpy; tests cross-check against
-scipy where it is available.
+All statistics are implemented from scratch (Spearman included) so this
+module needs nothing beyond numpy; tests cross-check against scipy.
 """
 
 from __future__ import annotations

@@ -76,7 +76,7 @@ from ..graph.influence_graph import InfluenceGraph
 from ..obs import inc, span
 from ..partition.partition import Partition
 from ..rng import ensure_rng
-from ..scc import DEFAULT_SCC_BACKEND, backend_spec, multi_scc_labels, scc_labels
+from ..scc import DEFAULT_SCC_BACKEND, multi_scc_labels, scc_labels
 from .coarsen import coarsen
 from .result import CoarsenResult, CoarsenStats
 
@@ -177,9 +177,8 @@ class DynamicStats:
 
     ``scc_recomputations`` counts *logical* recomputation demands, one per
     (delta, sample) event; the actual kernel work is deferred to the end
-    of the batch, where each dirty sample is recomputed once — in a single
-    batched :func:`repro.scc.multi_scc_labels` call when the configured
-    backend supports it.
+    of the batch, where each dirty sample is recomputed once, all of them
+    in one :func:`repro.scc.multi_scc_labels` call.
     """
 
     insertions: int = 0
@@ -224,24 +223,11 @@ def coarsen_addressable(
     tails, heads, probs = graph.edge_arrays()
     partition = Partition.trivial(graph.n)
     with span("coarsen_addressable", r=r, n=graph.n, m=graph.m):
-        if backend_spec(scc_backend).supports_batch and r:
-            # Batch-capable backend: draw every sample's coins, then run
-            # ONE multi-sample decomposition over all r masks.  The meet
-            # fold over the label rows is the same sequence of canonical
-            # meets as the per-sample loop, so the result is bit-for-bit
-            # unchanged (the dynamic differential suite pins this).
-            keep = np.empty((r, graph.m), dtype=bool)
-            for i in range(r):
-                keep[i] = edge_coin_uniforms(tails, heads, i, seed) < probs
-            rows = multi_scc_labels(graph.indptr, graph.heads, keep)
-            for i in range(r):
-                partition = partition.meet(Partition(rows[i]))
-        else:
-            for i in range(r):
-                keep = edge_coin_uniforms(tails, heads, i, seed) < probs
-                indptr, kept_heads = live_edge_csr_from_mask(graph, keep)
-                labels = scc_labels(indptr, kept_heads, backend=scc_backend)
-                partition = partition.meet(Partition(labels))
+        for i in range(r):
+            keep = edge_coin_uniforms(tails, heads, i, seed) < probs
+            indptr, kept_heads = live_edge_csr_from_mask(graph, keep)
+            labels = scc_labels(indptr, kept_heads, backend=scc_backend)
+            partition = partition.meet(Partition(labels))
         coarse, pi = coarsen(graph, partition)
     stats = CoarsenStats(
         r=r,
@@ -319,15 +305,9 @@ class DynamicCoarsener:
                 self._keep[i] = edge_coin_uniforms(tails, heads, i, self.seed) < probs
             else:
                 self._keep[i] = self._rng.random(graph.m) < probs
-        self._comps: "list[Partition]"
-        if backend_spec(scc_backend).supports_batch and r:
-            # One batched decomposition over all r masks instead of r
-            # per-sample kernel calls; canonical per-row partitions are
-            # identical either way.
-            rows = multi_scc_labels(self._indptr, self._heads, self._keep)
-            self._comps = [Partition(rows[i]) for i in range(r)]
-        else:
-            self._comps = [self._scc_partition(i) for i in range(r)]
+        rows = multi_scc_labels(self._indptr, self._heads, self._keep,
+                                backend=scc_backend)
+        self._comps = [Partition(row) for row in rows]
         # Bumped on every applied batch; snapshot()/current_graph() caches
         # are keyed by it.
         self._version = 0
@@ -399,16 +379,6 @@ class DynamicCoarsener:
             return coins < p
         return self._rng.random(self.r) < p
 
-    def _scc_partition(self, i: int) -> Partition:
-        """SCC partition of live-edge sample ``i`` (mask over canonical CSR)."""
-        keep = self._keep[i]
-        counts = np.bincount(self._tails[keep], minlength=self.n)
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return Partition(
-            scc_labels(indptr, self._heads[keep], backend=self._scc_backend)
-        )
-
     def _sample_reaches(self, i: int, src: int, dst: int) -> "bool | None":
         """Does ``src`` reach ``dst`` in live sample ``i``?
 
@@ -443,19 +413,14 @@ class DynamicCoarsener:
         """Recompute the SCC partitions of the ``dirty`` samples against the
         current masks; True when any partition changed.
 
-        Under a batch-capable backend (``"multi"``) all dirty samples go
-        through **one** kernel call on the shared base CSR — this is where
-        a delta-heavy epoch amortises its recomputations.  Canonical
-        partitions are backend-independent, so the maintained state is the
-        same either way.
+        All dirty samples go through one :func:`multi_scc_labels` call on
+        the shared base CSR, so a delta-heavy epoch builds the edge-tail
+        array once for all of them.
         """
         changed = False
-        if len(dirty) > 1 and backend_spec(self._scc_backend).supports_batch:
-            rows = multi_scc_labels(self._indptr, self._heads,
-                                    self._keep[dirty])
-            fresh = [Partition(rows[j]) for j in range(len(dirty))]
-        else:
-            fresh = [self._scc_partition(i) for i in dirty]
+        rows = multi_scc_labels(self._indptr, self._heads, self._keep[dirty],
+                                backend=self._scc_backend)
+        fresh = [Partition(row) for row in rows]
         for i, new_comp in zip(dirty, fresh):
             if new_comp != self._comps[i]:
                 self._comps[i] = new_comp

@@ -4,7 +4,7 @@ The engine runs two passes.  Pass one parses every file once with the
 stdlib :mod:`ast` module and hands each tree to the per-file rules
 (RL001–RL006) — pure functions of the parse tree plus a little file
 context (most importantly the path *relative to the repro package*, so
-path-scoped rules like RL004 can tell ``scc/fwbw.py`` apart from
+path-scoped rules like RL004 can tell ``scc/tarjan.py`` apart from
 ``datasets/generators.py``).  Pass two, enabled by ``--strict``, builds a
 whole-project symbol index (:mod:`repro.lint.index`) over the same parse
 trees and evaluates the cross-module concurrency rules
@@ -134,7 +134,7 @@ class FileContext:
     display: str
     source: str
     tree: ast.Module
-    #: Path relative to the ``repro`` package root (``"scc/fwbw.py"``), or
+    #: Path relative to the ``repro`` package root (``"scc/tarjan.py"``), or
     #: relative to the scan root for files outside the package (so fixture
     #: trees can mirror the package layout for path-scoped rules).
     package_rel: str
@@ -178,7 +178,7 @@ def parse_suppressions(source: str) -> Suppressions:
 def package_relative(path: Path, root: Path | None = None) -> str:
     """Path relative to the ``repro`` package (or to the scan root).
 
-    ``src/repro/scc/fwbw.py`` -> ``scc/fwbw.py``.  Files outside a ``repro``
+    ``src/repro/scc/tarjan.py`` -> ``scc/tarjan.py``.  Files outside a ``repro``
     directory fall back to the path relative to ``root`` so that fixture
     trees (``tests/lint_fixtures/scc/bad.py``) can opt into path-scoped
     rules by mirroring the package layout.

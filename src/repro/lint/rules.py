@@ -13,10 +13,10 @@ DESIGN.md for the promises being enforced):
   results (set iteration, dict views fed to list builders, ``id``/``hash``
   sort keys).
 * RL004 — array allocations in the SCC kernels and the coarsening core
-  always pin an explicit ``dtype=`` (the int32/int64 discipline of the
-  FW-BW kernel), and any SCC module selecting ``np.int32`` derives its
-  overflow bound from ``np.iinfo(np.int32)`` (the size gate the batched
-  union kernel depends on).
+  always pin an explicit ``dtype=`` (label and index arrays are ``int64``
+  by contract), and any SCC module selecting ``np.int32`` derives its
+  overflow bound from ``np.iinfo(np.int32)`` (a hard-coded size gate
+  corrupts labels past ``2**31`` elements).
 * RL005 — durations come from monotonic clocks (``perf_counter`` or obs
   spans), never ``time.time()``.
 * RL006 — no bare ``except:`` and no silently swallowed ``except
@@ -428,8 +428,8 @@ class DtypeDiscipline(Rule):
                 )
         # int32 indices are a *size-gated* optimisation: any kernel module
         # that selects np.int32 must also derive its overflow bound from
-        # np.iinfo(np.int32) (the fwbw/multi discipline) — a hard-coded or
-        # missing bound silently corrupts labels past 2**31 elements.
+        # np.iinfo(np.int32) — a hard-coded or missing bound silently
+        # corrupts labels past 2**31 elements.
         if ctx.package_rel.startswith(self.GATE_SCOPES) and not gated:
             # iinfo(np.int32) arguments are themselves np.int32 attribute
             # nodes, but ``gated`` is False here, so none of these uses

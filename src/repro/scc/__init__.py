@@ -1,19 +1,14 @@
 """Strongly-connected-component algorithms.
 
-Five independent implementations with one dispatch point:
+Two in-memory CSR kernels with one dispatch point:
 
-* ``"fwbw"`` — vectorised forward–backward decomposition with trimming and
-  a coloring phase (:mod:`repro.scc.fwbw`), the default: it runs on numpy
-  frontiers instead of a per-vertex interpreter loop and accepts a
-  ``block_labels`` restriction for refinement-aware r-robust rounds;
-* ``"multi"`` — the batched multi-sample variant (:mod:`repro.scc.multi`):
-  one decomposition over the disjoint union of all ``r`` live-edge rounds,
-  amortising CSR traversal across the sample axis.  On a single CSR it
-  degrades gracefully to a one-row batch;
-* ``"tarjan"`` — iterative Tarjan, the pure-Python reference routine;
-* ``"kosaraju"`` — two-pass Kosaraju, an independent cross-check;
-* ``"scipy"`` — optional acceleration via :mod:`scipy.sparse.csgraph` when
-  scipy is installed (results are label-equivalent; tests verify this).
+* ``"scipy"`` — :func:`scipy.sparse.csgraph.connected_components`, the
+  production kernel and the default.  scipy is imported inside the kernel,
+  so ``import repro`` and the sublinear-space path never load it;
+* ``"tarjan"`` — iterative Tarjan, the pure-Python reference routine.
+
+Both label the same partition up to renaming; the differential suite pins
+this against ``networkx`` as an independent oracle.
 
 The semi-external streaming algorithm (:mod:`repro.scc.semi_external`)
 is registered too — so misspellings fail fast with the full menu — but it
@@ -34,31 +29,17 @@ import numpy as np
 
 from ..errors import AlgorithmError
 from ..obs import inc, span
-from .fwbw import FwbwStats, fwbw_scc_labels
-from .kosaraju import kosaraju_scc_labels
-from .multi import (
-    MULTI_REFINE_CHUNK,
-    MultiStats,
-    multi_chunk_cap,
-    multi_scc_labels,
-)
 from .semi_external import SemiExternalStats, semi_external_scc_labels
 from .tarjan import tarjan_scc_labels
 
 __all__ = [
     "scc_labels",
-    "fwbw_scc_labels",
-    "multi_chunk_cap",
     "multi_scc_labels",
     "tarjan_scc_labels",
-    "kosaraju_scc_labels",
     "semi_external_scc_labels",
     "available_backends",
     "backend_spec",
     "BackendSpec",
-    "FwbwStats",
-    "MultiStats",
-    "MULTI_REFINE_CHUNK",
     "SemiExternalStats",
     "SCC_BACKENDS",
     "DEFAULT_SCC_BACKEND",
@@ -67,46 +48,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BackendSpec:
-    """One registered SCC kernel and its capabilities.
+    """One registered SCC kernel.
 
-    ``supports_block_labels`` marks kernels that accept the running
-    r-robust partition as a restriction (``refine=True`` in
-    :func:`repro.core.robust_scc.robust_scc_partition`);
-    ``supports_batch`` marks kernels that consume the whole ``(r, m)``
-    keep-mask matrix in one call; ``streaming`` marks kernels that operate
-    on disk pair stores instead of in-memory CSR arrays; ``optional``
-    marks kernels behind an optional dependency.
+    ``streaming`` marks kernels that operate on disk pair stores instead of
+    in-memory CSR arrays.
     """
 
     name: str
     summary: str
-    supports_block_labels: bool = False
-    supports_batch: bool = False
     streaming: bool = False
-    optional: bool = False
 
 
 _REGISTRY: "dict[str, BackendSpec]" = {
     spec.name: spec
     for spec in (
-        BackendSpec(
-            "fwbw",
-            "vectorised FW-BW with trimming and coloring (default)",
-            supports_block_labels=True,
-        ),
-        BackendSpec(
-            "multi",
-            "batched FW-BW over all r live-edge rounds at once",
-            supports_block_labels=True,
-            supports_batch=True,
-        ),
+        BackendSpec("scipy", "scipy.sparse.csgraph kernel (default)"),
         BackendSpec("tarjan", "iterative Tarjan, pure-Python reference"),
-        BackendSpec("kosaraju", "two-pass Kosaraju cross-check"),
-        BackendSpec(
-            "scipy",
-            "scipy.sparse.csgraph accelerator (optional dependency)",
-            optional=True,
-        ),
         BackendSpec(
             "semi-external",
             "Algorithm 2 streaming SCC over disk pair stores",
@@ -151,23 +108,23 @@ def backend_spec(backend: str) -> BackendSpec:
 #: :func:`available_backends` can never drift apart.
 SCC_BACKENDS = available_backends()
 
-#: Backend used when callers don't choose one.  ``fwbw`` is bit-identical to
-#: ``tarjan`` up to label renaming (the differential suite pins this) and an
-#: order of magnitude faster on large graphs; see ``docs/performance.md``.
-DEFAULT_SCC_BACKEND = "fwbw"
+#: Backend used when callers don't choose one.  ``scipy`` labels the same
+#: partition as ``tarjan`` (the differential suite pins this) and is the
+#: fastest kernel end to end; see ``docs/performance.md``.
+DEFAULT_SCC_BACKEND = "scipy"
 
 
 def _scipy_scc_labels(indptr: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    # The one sanctioned scipy touchpoint: an *optional* accelerator backend,
-    # imported lazily, never on the default path, and failing over to an
-    # AlgorithmError when scipy is absent (see scc_labels below).
-    from scipy.sparse import csr_array  # reprolint: disable=RL001 - optional backend
-    from scipy.sparse.csgraph import connected_components  # reprolint: disable=RL001 - optional backend
+    # The one sanctioned scipy touchpoint, imported here rather than at
+    # module level so that importing repro (and Algorithm 2, which never
+    # runs an in-memory kernel) does not pay for loading scipy.
+    from scipy.sparse import csgraph, csr_array  # reprolint: disable=RL001 - the in-memory SCC kernel
 
     n = indptr.size - 1
     data = np.ones(heads.size, dtype=np.int8)
     matrix = csr_array((data, heads, indptr), shape=(n, n))
-    _, labels = connected_components(matrix, directed=True, connection="strong")
+    _, labels = csgraph.connected_components(matrix, directed=True,
+                                             connection="strong")
     return labels.astype(np.int64)
 
 
@@ -175,20 +132,12 @@ def scc_labels(
     indptr: np.ndarray,
     heads: np.ndarray,
     backend: str = DEFAULT_SCC_BACKEND,
-    block_labels: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """Label every vertex of a CSR digraph with its SCC id.
 
     ``backend`` selects the implementation (see module docstring).  Labels
     differ between backends only by renaming; canonicalise with
     :class:`repro.partition.Partition` before comparing.
-
-    ``block_labels`` optionally restricts the computation to refining a
-    running partition (the ``fwbw`` and ``multi`` backends skip work that
-    cannot split a surviving block; other backends compute the full SCC,
-    which is always a valid refinement input).  With a restriction in
-    place only the meet ``block_labels ∧ result`` is meaningful — see
-    :func:`repro.scc.fwbw.fwbw_scc_labels`.
     """
     spec = backend_spec(backend)
     if spec.streaming:
@@ -200,29 +149,34 @@ def scc_labels(
     with span("scc_labels", backend=backend, n=int(indptr.size - 1),
               m=int(heads.size)):
         inc("scc.runs")
-        if backend == "fwbw":
-            labels, stats = fwbw_scc_labels(
-                indptr, heads, block_labels=block_labels, return_stats=True
-            )
-            if stats.frozen_vertices:
-                inc("scc.frozen_vertices", stats.frozen_vertices)
-            if stats.masked_edges:
-                inc("scc.masked_edges", stats.masked_edges)
-            return labels
-        if backend == "multi":
-            # A single CSR is a one-row batch: same kernel, same labels
-            # modulo the canonical relabelling all backends need anyway.
-            keep = np.ones((1, int(heads.size)), dtype=bool)
-            return multi_scc_labels(
-                indptr, heads, keep, block_labels=block_labels
-            )[0]
         if backend == "tarjan":
             return tarjan_scc_labels(indptr, heads)
-        if backend == "kosaraju":
-            return kosaraju_scc_labels(indptr, heads)
-        try:
-            return _scipy_scc_labels(indptr, heads)
-        except ImportError as exc:
-            raise AlgorithmError(
-                "scipy backend requested but scipy missing"
-            ) from exc
+        return _scipy_scc_labels(indptr, heads)
+
+
+def multi_scc_labels(
+    indptr: np.ndarray,
+    heads: np.ndarray,
+    keep: np.ndarray,
+    backend: str = DEFAULT_SCC_BACKEND,
+) -> np.ndarray:
+    """SCC labels of every live-edge round drawn over one base CSR.
+
+    ``keep`` is an ``(r, m)`` boolean matrix whose row ``i`` selects the
+    base edges live in round ``i``.  Returns an ``(r, n)`` ``int64`` matrix
+    whose row ``i`` is :func:`scc_labels` of that round's subgraph.
+    """
+    backend_spec(backend)
+    keep = np.asarray(keep)
+    if keep.ndim != 2 or keep.dtype != bool:
+        raise ValueError("keep must be an (r, m) boolean matrix")
+    if keep.shape[1] != heads.size:
+        raise ValueError("keep needs one column per base edge")
+    n = indptr.size - 1
+    tails = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    rows = np.empty((keep.shape[0], n), dtype=np.int64)
+    for i, row in enumerate(keep):
+        sub = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tails[row], minlength=n), out=sub[1:])
+        rows[i] = scc_labels(sub, heads[row], backend=backend)
+    return rows

@@ -1,11 +1,10 @@
 """Differential determinism: one seed, one answer, across implementations.
 
-The repo carries several interchangeable components — SCC backends
-(``tarjan`` / ``kosaraju``) and two coarsening algorithms (Algorithm 1
-in-memory, Algorithm 2 disk-streaming).  All of them consume the same
+The repo carries interchangeable coarsening algorithms (Algorithm 1
+in-memory, Algorithm 2 disk-streaming).  Both consume the same
 live-edge sample stream, so with a fixed seed they must produce *identical*
 partitions and *identical* coarse edge weights ``q`` — not merely
-statistically close ones.  Any divergence means a backend reordered or
+statistically close ones.  Any divergence means an implementation reordered or
 re-drew randomness, which would silently invalidate every cross-backend
 comparison in the benchmarks.
 """
@@ -35,23 +34,6 @@ def assert_same_q(left: dict, right: dict) -> None:
     assert left.keys() == right.keys()
     for edge, p in left.items():
         assert right[edge] == pytest.approx(p, abs=1e-12), edge
-
-
-class TestSccBackends:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_tarjan_kosaraju_identical(self, seed):
-        graph = random_graph(n=80, m=400, seed=seed, p_low=0.05, p_high=0.9)
-        results = {
-            backend: coarsen_influence_graph(
-                graph, r=6, rng=seed, scc_backend=backend
-            )
-            for backend in ("tarjan", "kosaraju")
-        }
-        tarjan, kosaraju = results["tarjan"], results["kosaraju"]
-        assert np.array_equal(tarjan.pi, kosaraju.pi)
-        assert tarjan.partition == kosaraju.partition
-        assert_same_q(q_weight_map(tarjan.coarse), q_weight_map(kosaraju.coarse))
-        assert np.array_equal(tarjan.coarse.weights, kosaraju.coarse.weights)
 
 
 class TestAlgorithm1VsAlgorithm2:

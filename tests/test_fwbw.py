@@ -1,20 +1,19 @@
-"""Tests for the vectorised FW-BW SCC kernel (`scc/fwbw.py`) and the
-block-restricted refinement mode it enables.
+"""In-memory SCC kernels against the forward–backward definition of an SCC.
 
-Three layers of evidence:
+The SCC of ``v`` is ``FW(v) ∩ BW(v)``: the vertices ``v`` reaches that
+also reach ``v``.  This file checks both in-memory kernels (``scipy`` and
+``tarjan``) against that definition and against networkx:
 
-* differential — fwbw must produce the identical canonical partition as the
-  reference backends on fixed-seed random graphs, including shapes chosen to
-  force every internal path (trim cascades, deep decomposition, the
-  coloring phase, domain compaction, the int32 index domain);
-* property-based — on arbitrary small digraphs, the fwbw labels must be
-  exactly the mutual-reachability equivalence classes (checked against an
-  independently computed boolean transitive closure, not another SCC
-  implementation);
-* refinement regression — the block-restricted mode must fold to the same
-  r-robust partition as full recomputation (the restriction is exact, not a
-  heuristic), while masking a nonzero amount of per-round work once the
-  running meet accumulates singletons.
+* differential — the canonical partition must equal networkx's on
+  fixed-seed random graphs, on live-edge samples, and on shapes that
+  stress SCC decompositions (trim cascades down a deep chain, many
+  reciprocal two-cycles, one long cycle, a graph past the int32 index
+  domain scipy converts to);
+* property-based — on arbitrary small digraphs the labels must be exactly
+  the mutual-reachability classes of a boolean transitive closure, not
+  another SCC implementation's output;
+* the r-robust fold — folding per-round labels by the meet must equal the
+  meet of networkx's per-round partitions over the same kept samples.
 """
 
 from __future__ import annotations
@@ -27,58 +26,30 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.core import robust_scc_partition
 from repro.diffusion import sample_live_edge_csr
-from repro.errors import AlgorithmError
 from repro.partition import Partition
-from repro.scc import scc_labels
-from repro.scc.fwbw import FwbwStats, fwbw_scc_labels
+from repro.scc import SCC_BACKENDS, scc_labels
 
 from .conftest import random_graph
-
-REFERENCE_BACKENDS = ("tarjan", "kosaraju", "scipy")
-
-
-def csr(n, tails, heads):
-    tails = np.asarray(tails, dtype=np.int64)
-    heads = np.asarray(heads, dtype=np.int64)
-    order = np.lexsort((heads, tails))
-    tails, heads = tails[order], heads[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
-    return indptr, heads
-
-
-def reachability(n, tails, heads):
-    """Boolean transitive closure by repeated squaring (small n only)."""
-    adj = np.eye(n, dtype=bool)
-    adj[tails, heads] = True
-    while True:
-        nxt = adj @ adj
-        if (nxt == adj).all():
-            return adj
-        adj = nxt
+from .test_scc import assert_kernels_agree, csr_arrays, nx_partition, reachability
 
 
 class TestDifferential:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_references_on_random_graphs(self, seed):
         g = random_graph(60, 200, seed=seed)
-        ours = Partition(scc_labels(g.indptr, g.heads, backend="fwbw"))
-        for backend in REFERENCE_BACKENDS:
-            ref = Partition(scc_labels(g.indptr, g.heads, backend=backend))
-            assert ours == ref, backend
+        assert_kernels_agree(g.indptr, g.heads)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_on_live_edge_samples(self, seed):
         g = random_graph(300, 1500, seed=40 + seed)
         indptr, heads = sample_live_edge_csr(g, rng=seed)
-        ours = Partition(scc_labels(indptr, heads, backend="fwbw"))
-        ref = Partition(scc_labels(indptr, heads, backend="tarjan"))
-        assert ours == ref
+        assert_kernels_agree(indptr, heads)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_coloring_path_many_two_cycles(self, seed):
-        # Dense reciprocal structure fragments FW-BW into many parts, which
-        # is exactly what triggers the multistep coloring phase.
+        # Dense reciprocal structure fragments the graph into many parts
+        # joined by two-cycles — the shape coloring-based decompositions
+        # are built for.
         rng = np.random.default_rng(seed)
         n = 400
         t = rng.integers(0, n, 900)
@@ -88,41 +59,30 @@ class TestDifferential:
         tails = np.concatenate([t, h])
         heads = np.concatenate([h, t])
         uniq = np.unique(tails * n + heads)
-        indptr, heads = csr(n, uniq // n, uniq % n)
-        ours = Partition(scc_labels(indptr, heads, backend="fwbw"))
-        ref = Partition(scc_labels(indptr, heads, backend="tarjan"))
-        assert ours == ref
+        indptr, heads = csr_arrays(n, uniq // n, uniq % n)
+        assert_kernels_agree(indptr, heads)
 
     def test_deep_chain_forces_trim_cascade(self):
         n = 30_000
-        tails = np.arange(n - 1)
-        heads = np.arange(1, n)
-        indptr, heads = csr(n, tails, heads)
-        labels = scc_labels(indptr, heads, backend="fwbw")
-        assert len(set(labels.tolist())) == n
+        indptr, heads = csr_arrays(n, np.arange(n - 1), np.arange(1, n))
+        for backend in SCC_BACKENDS:
+            labels = scc_labels(indptr, heads, backend=backend)
+            assert len(set(labels.tolist())) == n, backend
 
     def test_long_cycle_single_component(self):
         n = 20_000
-        tails = np.arange(n)
-        heads = (np.arange(n) + 1) % n
-        indptr, heads = csr(n, tails, heads)
-        assert set(scc_labels(indptr, heads, backend="fwbw").tolist()) == {0}
+        indptr, heads = csr_arrays(n, np.arange(n), (np.arange(n) + 1) % n)
+        for backend in SCC_BACKENDS:
+            labels = scc_labels(indptr, heads, backend=backend)
+            assert set(labels.tolist()) == {0}, backend
 
     def test_large_graph_int32_domain(self):
-        # Past the size gate the kernel runs on int32 indices; same answer.
+        # scipy runs on int32 indices; int64 CSR input must survive the
+        # conversion with the same answer as the pure-Python reference.
         g = random_graph(40_000, 240_000, seed=7)
-        ours = Partition(scc_labels(g.indptr, g.heads, backend="fwbw"))
-        ref = Partition(scc_labels(g.indptr, g.heads, backend="scipy"))
+        ours = Partition(scc_labels(g.indptr, g.heads, backend="scipy"))
+        ref = Partition(scc_labels(g.indptr, g.heads, backend="tarjan"))
         assert ours == ref
-
-    def test_stats_shape(self):
-        g = random_graph(100, 400, seed=3)
-        labels, stats = fwbw_scc_labels(g.indptr, g.heads, return_stats=True)
-        assert isinstance(stats, FwbwStats)
-        assert stats.rounds >= 1
-        assert stats.processed_edges > 0
-        assert stats.masked_edges == 0  # no blocks given, nothing to mask
-        assert labels.size == g.n
 
 
 class TestProperty:
@@ -141,102 +101,56 @@ class TestProperty:
         pairs = sorted({(u, v) for u, v in pairs if u != v})
         tails = [u for u, _ in pairs]
         heads = [v for _, v in pairs]
-        indptr, h = csr(n, tails, heads)
-        labels = fwbw_scc_labels(indptr, h)
+        indptr, h = csr_arrays(n, tails, heads)
         reach = reachability(n, np.asarray(tails, dtype=np.int64),
                              np.asarray(heads, dtype=np.int64))
         mutual = reach & reach.T
-        same = labels[:, None] == labels[None, :]
-        assert (same == mutual).all()
+        for backend in SCC_BACKENDS:
+            labels = scc_labels(indptr, h, backend=backend)
+            same = labels[:, None] == labels[None, :]
+            assert (same == mutual).all(), backend
+        assert Partition(scc_labels(indptr, h)) == nx_partition(indptr, h)
 
     def test_empty_graph(self):
         indptr = np.zeros(1, dtype=np.int64)
-        labels = fwbw_scc_labels(indptr, np.empty(0, dtype=np.int64))
-        assert labels.size == 0
+        for backend in SCC_BACKENDS:
+            labels = scc_labels(indptr, np.empty(0, dtype=np.int64),
+                                backend=backend)
+            assert labels.size == 0, backend
 
     def test_edgeless_graph(self):
         indptr = np.zeros(6, dtype=np.int64)
-        labels = fwbw_scc_labels(indptr, np.empty(0, dtype=np.int64))
-        assert len(set(labels.tolist())) == 5
+        for backend in SCC_BACKENDS:
+            labels = scc_labels(indptr, np.empty(0, dtype=np.int64),
+                                backend=backend)
+            assert len(set(labels.tolist())) == 5, backend
 
 
 class TestRefinement:
+    """The fold ``P_i = P_{i-1} ∧ SCC(G_i)`` (Theorem 4.11)."""
+
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("r", [3, 8])
     def test_refined_fold_matches_full_recomputation(self, seed, r):
+        # Recompute the r-robust partition from scratch: the meet of the
+        # networkx partitions of the very samples the fold drew.
         g = random_graph(80, 320, seed=seed, p_low=0.1, p_high=0.6)
-        refined = robust_scc_partition(g, r, rng=seed, scc_backend="fwbw",
-                                       refine=True)
-        full = robust_scc_partition(g, r, rng=seed, scc_backend="fwbw",
-                                    refine=False)
+        folded, samples = robust_scc_partition(g, r, rng=seed,
+                                               keep_samples=True)
+        full = Partition.trivial(g.n)
+        for indptr, heads in samples:
+            full = full.meet(nx_partition(indptr, heads))
         tarjan = robust_scc_partition(g, r, rng=seed, scc_backend="tarjan")
-        assert refined == full == tarjan
-
-    def test_block_labels_exactness_on_adversarial_conduits(self):
-        # The counterexample from docs/performance.md: u, v share a block, w
-        # is a frozen singleton, and the only sample cycle through u and v
-        # runs via w.  A naive same-block edge mask would split {u, v}; the
-        # retirement rule must keep them together.
-        u, w, v = 0, 1, 2
-        indptr, heads = csr(3, [u, w, v], [w, v, u])
-        blocks = np.array([0, 1, 0], dtype=np.int64)  # w is a singleton
-        labels = fwbw_scc_labels(indptr, heads, block_labels=blocks)
-        meet = Partition(labels).meet(Partition(blocks))
-        assert meet.labels[u] == meet.labels[v]
-
-    def test_frozen_only_input_short_circuits(self):
-        # Every vertex a singleton block: labels are irrelevant to the meet,
-        # so the kernel may retire everything; the result must still be a
-        # partition whose meet with the blocks is all singletons.
-        g = random_graph(50, 200, seed=11)
-        blocks = np.arange(g.n, dtype=np.int64)
-        labels, stats = fwbw_scc_labels(g.indptr, g.heads,
-                                        block_labels=blocks,
-                                        return_stats=True)
-        meet = Partition(labels).meet(Partition(blocks))
-        assert meet.n_blocks == g.n
-        assert stats.frozen_vertices == g.n
-
-    def test_masked_edges_reduce_processed_work(self):
-        # Fold identical samples with and without the block restriction:
-        # the restricted fold must process strictly fewer edges in total
-        # and report the difference through masked_edges.
-        g = random_graph(600, 3000, seed=5, p_low=0.05, p_high=0.4)
-        rng = np.random.default_rng(0)
-        samples = [sample_live_edge_csr(g, rng) for _ in range(10)]
-        totals = {}
-        for use_blocks in (True, False):
-            partition = Partition.trivial(g.n)
-            processed = masked = 0
-            for i, (indptr, heads) in enumerate(samples):
-                blocks = partition.labels if use_blocks and i else None
-                labels, stats = fwbw_scc_labels(indptr, heads,
-                                                block_labels=blocks,
-                                                return_stats=True)
-                processed += stats.processed_edges
-                masked += stats.masked_edges
-                partition = partition.meet(
-                    Partition(labels, canonical=False))
-            totals[use_blocks] = (processed, masked, partition)
-        assert totals[True][2] == totals[False][2]
-        assert totals[True][1] > 0  # refinement masked real work...
-        assert totals[True][0] < totals[False][0]  # ...and processed less
-        assert totals[False][1] == 0
+        assert folded == full == tarjan
 
     def test_counters_flow_through_obs(self):
+        # One kernel run per round; kept samples force every round to run
+        # even after the fold reaches the finest partition.
         g = random_graph(600, 3000, seed=5, p_low=0.05, p_high=0.4)
         registry = obs.MetricsRegistry()
         with obs.use_metrics(registry):
-            robust_scc_partition(g, 10, rng=0, scc_backend="fwbw",
-                                 refine=True)
-        assert registry.counter("scc.frozen_vertices") > 0
-        assert registry.counter("scc.masked_edges") > 0
-
-    def test_refine_requires_fwbw(self):
-        g = random_graph(20, 60, seed=0)
-        with pytest.raises(AlgorithmError, match="refine"):
-            robust_scc_partition(g, 2, rng=0, scc_backend="tarjan",
-                                 refine=True)
+            robust_scc_partition(g, 10, rng=0, keep_samples=True)
+        assert registry.counter("scc.runs") == 10
 
 
 class TestMeetFastPaths:

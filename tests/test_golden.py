@@ -14,33 +14,44 @@ import pytest
 from repro.core import coarsen_influence_graph
 from repro.datasets import load_dataset
 
-# (dataset, setting) -> (n, m, |W|, |F|) at r=16, topology seed 0, coarsen
-# seed 0.  Table 3's measured values come from exactly these runs.
+# (dataset, setting) -> (n, m, |W|, |F|, H digest) at r=16, topology seed 0,
+# coarsen seed 0.  Table 3's measured values come from exactly these runs.
+# The digest (:meth:`InfluenceGraph.digest` of the coarse graph H) pins H
+# bit for bit: an SCC kernel that moves one vertex between blocks, or a
+# contraction that perturbs one q, is caught even when |W| and |F| hold.
 GOLDEN_COARSENING = {
     # Re-pinned after the preferential-attachment generator switched to
     # sorted target iteration (reprolint RL003): set iteration order was a
     # CPython implementation detail the rng consumption sequence leaked
     # through.  Same distribution family, new pinned draw.
-    ("ca-hepph", "exp"): (4249, 76110, 3667, 25968),
-    ("soc-slashdot", "exp"): (3000, 70815, 2731, 24385),
-    ("web-notredame", "exp"): (3200, 28280, 3167, 22629),
-    ("wiki-talk", "exp"): (6000, 19180, 5912, 11927),
-    ("soc-slashdot", "tri"): (3000, 70815, 2790, 29432),
-    ("soc-slashdot", "uc"): (3000, 70815, 2731, 24385),
-    ("soc-slashdot", "wc"): (3000, 70815, 3000, 70815),
+    ("ca-hepph", "exp"): (4249, 76110, 3667, 25968,
+        "d078dcd622d16b6837436f7e3bc53b22"),
+    ("soc-slashdot", "exp"): (3000, 70815, 2731, 24385,
+        "616d9f922c9681db0856d79dee526ccb"),
+    ("web-notredame", "exp"): (3200, 28280, 3167, 22629,
+        "c70b56e57e34e877df1fa32840c037a8"),
+    ("wiki-talk", "exp"): (6000, 19180, 5912, 11927,
+        "47e19a7f0f7021615f3ec1eed76d2410"),
+    ("soc-slashdot", "tri"): (3000, 70815, 2790, 29432,
+        "730c0b666569d8f69724dd450c9adc12"),
+    ("soc-slashdot", "uc"): (3000, 70815, 2731, 24385,
+        "7bfd4e753d8f62327198259a3e351845"),
+    ("soc-slashdot", "wc"): (3000, 70815, 3000, 70815,
+        "5418d4854f67824340fe6f9c0f5a62b0"),
 }
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN_COARSENING))
 def test_pinned_coarsening_output(key):
     name, setting = key
-    n, m, w, f = GOLDEN_COARSENING[key]
+    n, m, w, f, digest = GOLDEN_COARSENING[key]
     graph = load_dataset(name, setting, seed=0)
     assert (graph.n, graph.m) == (n, m), "generator output drifted"
     result = coarsen_influence_graph(graph, r=16, rng=0)
     assert (result.coarse.n, result.coarse.m) == (w, f), (
         "coarsening output drifted"
     )
+    assert result.coarse.digest() == digest, "coarse graph H drifted"
 
 
 def test_pinned_paper_example_q():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.core import coarsen, robust_scc_partition
 from repro.graph import GraphBuilder, combine_parallel_edges
 from repro.partition import Partition, meet_labels, meet_labels_hash
-from repro.scc import kosaraju_scc_labels, tarjan_scc_labels
+from repro.scc import tarjan_scc_labels
 
 
 @st.composite
@@ -78,13 +78,6 @@ class TestPartitionLattice:
 
 
 class TestSCCProperties:
-    @given(influence_graphs())
-    @settings(max_examples=50, deadline=None)
-    def test_tarjan_kosaraju_equivalent(self, g):
-        a = Partition(tarjan_scc_labels(g.indptr, g.heads))
-        b = Partition(kosaraju_scc_labels(g.indptr, g.heads))
-        assert a == b
-
     @given(influence_graphs())
     @settings(max_examples=50, deadline=None)
     def test_scc_blocks_are_mutually_reachable(self, g):

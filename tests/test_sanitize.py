@@ -177,7 +177,7 @@ class TestPublishGuard:
             svc = InfluenceService(ServiceConfig(r=4, n_samples=200,
                                                  min_samples=64))
             try:
-                key = ModelKey.for_graph(graph, 4, 0, "fwbw", "serial")
+                key = ModelKey.for_graph(graph, 4, 0, "scipy", "serial")
                 model = coarsen_influence_graph(graph, r=4, rng=0)
                 with pool._lock:  # the discipline breach under test
                     svc.cache.put(key, model)

@@ -1,4 +1,21 @@
-"""Tests for the three SCC implementations, including cross-validation."""
+"""The differential SCC suite: ``scipy`` vs ``tarjan`` vs networkx.
+
+Every in-memory kernel must label exactly the partition that
+``networkx.strongly_connected_components`` finds — an implementation
+outside the package, so agreement is evidence rather than a kernel
+agreeing with a copy of itself.  The oracles defined here (:func:`csr`,
+:func:`csr_arrays`, :func:`reachability`, :func:`nx_partition`) are shared
+by the rest of the suite: ``test_fwbw.py`` checks the kernels against the
+forward–backward definition of an SCC on adversarial shapes, and
+``test_scc_multi.py`` checks the per-round helper, the r-robust fold and
+the dynamic coarsener built on them.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +23,7 @@ import pytest
 from repro.errors import AlgorithmError
 from repro.partition import Partition
 from repro.scc import (
-    kosaraju_scc_labels,
+    SCC_BACKENDS,
     scc_labels,
     semi_external_scc_labels,
     tarjan_scc_labels,
@@ -15,19 +32,60 @@ from repro.storage import PairStore
 
 from .conftest import random_graph
 
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
-def csr(n, edges):
-    tails = np.array([e[0] for e in edges], dtype=np.int64)
-    heads = np.array([e[1] for e in edges], dtype=np.int64)
+
+def csr_arrays(n, tails, heads):
+    """CSR of the digraph with edges ``zip(tails, heads)``."""
+    tails = np.asarray(tails, dtype=np.int64)
+    heads = np.asarray(heads, dtype=np.int64)
     order = np.lexsort((heads, tails))
     tails, heads = tails[order], heads[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, tails + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
     return indptr, heads
 
 
-BACKENDS = ["fwbw", "tarjan", "kosaraju", "scipy"]
+def csr(n, edges):
+    """CSR of the digraph with edge list ``edges``."""
+    return csr_arrays(n, [u for u, _ in edges], [v for _, v in edges])
+
+
+def reachability(n, tails, heads):
+    """Boolean transitive closure by repeated squaring (small n only)."""
+    adj = np.eye(n, dtype=bool)
+    adj[tails, heads] = True
+    while True:
+        nxt = adj @ adj
+        if (nxt == adj).all():
+            return adj
+        adj = nxt
+
+
+def nx_partition(indptr, heads):
+    """The SCC partition networkx finds on a CSR digraph."""
+    nx = pytest.importorskip("networkx")
+    n = indptr.size - 1
+    g = nx.DiGraph()
+    g.add_nodes_from(range(n))
+    tails = np.repeat(np.arange(n), np.diff(indptr))
+    g.add_edges_from(zip(tails.tolist(), heads.tolist()))
+    labels = np.empty(n, dtype=np.int64)
+    for block, members in enumerate(nx.strongly_connected_components(g)):
+        labels[list(members)] = block
+    return Partition(labels)
+
+
+def assert_kernels_agree(indptr, heads):
+    """Every in-memory backend labels networkx's partition."""
+    oracle = nx_partition(indptr, heads)
+    for backend in SCC_BACKENDS:
+        assert Partition(scc_labels(indptr, heads, backend=backend)) == oracle, (
+            backend
+        )
+
+
+BACKENDS = list(SCC_BACKENDS)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -73,10 +131,7 @@ class TestCrossValidation:
     @pytest.mark.parametrize("seed", range(12))
     def test_all_backends_agree_on_random_graphs(self, seed):
         g = random_graph(40, 120, seed=seed)
-        parts = [
-            Partition(scc_labels(g.indptr, g.heads, backend=b)) for b in BACKENDS
-        ]
-        assert all(p == parts[0] for p in parts[1:])
+        assert_kernels_agree(g.indptr, g.heads)
 
     def test_deep_chain_no_recursion_error(self):
         # A 50k-vertex path would blow recursive implementations.
@@ -90,12 +145,59 @@ class TestCrossValidation:
         n = 20_000
         edges = [(i, (i + 1) % n) for i in range(n)]
         indptr, heads = csr(n, edges)
-        assert set(kosaraju_scc_labels(indptr, heads).tolist()) == {0}
+        for backend in BACKENDS:
+            labels = scc_labels(indptr, heads, backend=backend)
+            assert set(labels.tolist()) == {0}, backend
 
     def test_unknown_backend_raises(self):
         indptr, heads = csr(2, [(0, 1)])
         with pytest.raises(AlgorithmError, match="unknown"):
             scc_labels(indptr, heads, backend="bogus")
+
+
+class TestLazyScipyImport:
+    """scipy loads only when an in-memory kernel runs.
+
+    Importing the package, the CLI and the server must not pay for it, nor
+    must Algorithm 2, whose SCC rounds run the semi-external kernel.  Each
+    check runs in a fresh interpreter, since this one has scipy loaded.
+    """
+
+    def _run(self, body):
+        code = textwrap.dedent(body) + textwrap.dedent("""
+            loaded = sorted(m for m in sys.modules
+                            if m == "scipy" or m.startswith("scipy."))
+            assert not loaded, loaded
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys\n" + code],
+            env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_package_import_leaves_scipy_unloaded(self):
+        self._run("import repro, repro.cli, repro.serve\n")
+
+    def test_sublinear_coarsening_leaves_scipy_unloaded(self, tmp_path):
+        self._run(f"""
+            import numpy as np
+            import repro, repro.cli, repro.serve
+            from repro.core import coarsen_influence_graph
+            from repro.graph import InfluenceGraph
+            from repro.storage import TripletStore
+            ring = np.arange(60)
+            graph = InfluenceGraph.from_edges(
+                60, np.repeat(ring, 2),
+                np.stack([(ring + 1) % 60, (ring + 7) % 60], 1).ravel(),
+                np.full(120, 0.5))
+            src = TripletStore.from_graph(graph, {str(tmp_path / "g.trip")!r})
+            result = coarsen_influence_graph(
+                src, r=4, rng=0, space="sublinear",
+                out_path={str(tmp_path / "h.trip")!r},
+                work_dir={str(tmp_path)!r})
+            assert result.pi.size == 60
+        """)
 
 
 class TestSemiExternal:

@@ -1,21 +1,21 @@
-"""Batched multi-sample SCC kernel (`scc/multi.py`) and the backend registry.
+"""Per-round SCC labels (`multi_scc_labels`), the r-robust fold, the dynamic
+coarsener built on them, and the backend registry.
 
 Four layers of evidence:
 
-* differential — every row of ``multi_scc_labels`` must be the identical
-  canonical partition as a per-sample ``fwbw``/``tarjan`` run on the masked
-  subgraph, on fixed-seed random batches, adversarial shapes (chain of
-  cycles, the conduit counterexample), mask-degenerate rounds (all-keep /
-  all-drop), and the int32 union domain a batch of small samples crosses;
+* differential — every row of ``multi_scc_labels`` must be the canonical
+  partition networkx and a per-sample ``tarjan`` run find on that round's
+  masked subgraph, on fixed-seed random batches, a chain of cycles, and
+  mask-degenerate rounds (all-keep / all-drop);
 * property-based — on arbitrary small digraph batches, each row's labels
   must be exactly the mutual-reachability classes of that round's masked
-  subgraph (checked against a boolean transitive closure, not another SCC
-  implementation);
-* fold equivalence — ``robust_scc_partition(..., scc_backend="multi")``
-  must be **bit-for-bit** the per-sample path: same partition, same kept
-  samples, same ``pi``, same coarse-graph digest, across refine modes;
+  subgraph (checked against a boolean transitive closure);
+* fold equivalence — the r-robust partition, the kept samples, ``pi`` and
+  the coarse-graph digest must be **bit-for-bit** the same under
+  ``scipy`` and ``tarjan``, and the batched ``DynamicCoarsener`` init and
+  refresh must equal a cold :func:`coarsen_addressable` after every batch;
 * registry — one :class:`repro.scc.BackendSpec` table drives the backend
-  menu, so choices, capabilities, and error messages cannot drift.
+  menu, so choices and error messages cannot drift.
 """
 
 from __future__ import annotations
@@ -25,26 +25,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs
-from repro.core import coarsen_addressable, robust_scc_partition
+from repro.core import (
+    coarsen_addressable,
+    coarsen_influence_graph,
+    robust_scc_partition,
+)
 from repro.core.dynamic import Delta, DynamicCoarsener
 from repro.errors import AlgorithmError
 from repro.partition import Partition
 from repro.scc import (
-    MULTI_REFINE_CHUNK,
+    DEFAULT_SCC_BACKEND,
     SCC_BACKENDS,
     BackendSpec,
-    MultiStats,
     available_backends,
     backend_spec,
-    multi_chunk_cap,
     multi_scc_labels,
     scc_labels,
 )
 
 from .conftest import random_graph
-
-from .test_fwbw import csr, reachability
+from .test_scc import csr_arrays, nx_partition, reachability
 
 
 def masked_csr(indptr, heads, keep_row):
@@ -61,41 +61,13 @@ def random_keep(m, r, seed, density=0.5):
     return np.random.default_rng(seed).random((r, m)) < density
 
 
-def _core_periphery_graph(n=240, core=10, seed=0):
-    """Five p=1 two-cycles surrounded by a sparse low-probability mesh."""
-    from repro.graph.influence_graph import InfluenceGraph
-
-    rng = np.random.default_rng(seed)
-    pairs = {}
-    for i in range(0, core, 2):
-        pairs[(i, i + 1)] = 1.0
-        pairs[(i + 1, i)] = 1.0
-    for v in range(core, n):
-        for _ in range(4):
-            u = int(rng.integers(0, n))
-            if u != v:
-                pairs.setdefault((v, u), 0.25)
-                pairs.setdefault((u, v), 0.25)
-    keys = sorted(pairs)
-    return InfluenceGraph.from_edges(
-        n,
-        np.array([k[0] for k in keys]),
-        np.array([k[1] for k in keys]),
-        np.array([pairs[k] for k in keys]),
-    )
-
-
-def assert_rows_match(indptr, heads, keep, rows, backend="fwbw", blocks=None):
-    """Each batched row == the per-sample reference on the masked CSR."""
+def assert_rows_match(indptr, heads, keep, rows):
+    """Each row == networkx and per-sample tarjan on the masked CSR."""
     for i in range(keep.shape[0]):
         sip, sh = masked_csr(indptr, heads, keep[i])
-        ref = Partition(scc_labels(sip, sh, backend=backend))
         got = Partition(rows[i])
-        if blocks is None:
-            assert got == ref, i
-        else:
-            b = Partition(blocks)
-            assert got.meet(b) == ref.meet(b), i
+        assert got == nx_partition(sip, sh), i
+        assert got == Partition(scc_labels(sip, sh, backend="tarjan")), i
 
 
 class TestDifferential:
@@ -103,15 +75,14 @@ class TestDifferential:
     def test_matches_per_sample_on_random_batches(self, seed):
         g = random_graph(60, 240, seed=seed)
         keep = random_keep(g.m, r=5, seed=seed, density=0.6)
-        rows = multi_scc_labels(g.indptr, g.heads, keep)
-        assert rows.shape == (5, g.n)
-        assert_rows_match(g.indptr, g.heads, keep, rows, backend="fwbw")
-        assert_rows_match(g.indptr, g.heads, keep, rows, backend="tarjan")
+        for backend in SCC_BACKENDS:
+            rows = multi_scc_labels(g.indptr, g.heads, keep, backend=backend)
+            assert rows.shape == (5, g.n)
+            assert_rows_match(g.indptr, g.heads, keep, rows)
 
     def test_chain_of_cycles(self):
-        # k 3-cycles linked in a chain: trimming never fires, every round
-        # must be decided by pivots/coloring; drop one intra-cycle edge per
-        # round so rows genuinely differ.
+        # k 3-cycles linked in a chain; drop one intra-cycle edge per round
+        # so rows genuinely differ.
         k = 40
         tails, heads = [], []
         for c in range(k):
@@ -121,13 +92,13 @@ class TestDifferential:
             if c + 1 < k:
                 tails.append(b + 2)
                 heads.append(b + 3)
-        indptr, h = csr(3 * k, tails, heads)
+        indptr, h = csr_arrays(3 * k, tails, heads)
         m = h.size
         keep = np.ones((6, m), dtype=bool)
         for i in range(1, 6):
             keep[i, (7 * i) % m] = False
         rows = multi_scc_labels(indptr, h, keep)
-        assert_rows_match(indptr, h, keep, rows, backend="tarjan")
+        assert_rows_match(indptr, h, keep, rows)
 
     def test_all_keep_and_all_drop_rounds(self):
         g = random_graph(50, 220, seed=3)
@@ -139,7 +110,7 @@ class TestDifferential:
         assert Partition(rows[0]) == base
         assert Partition(rows[2]) == base
         assert Partition(rows[1]).n_blocks == g.n
-        assert_rows_match(g.indptr, g.heads, keep, rows, backend="tarjan")
+        assert_rows_match(g.indptr, g.heads, keep, rows)
 
     def test_empty_batch_and_empty_graph(self):
         indptr = np.zeros(6, dtype=np.int64)
@@ -153,21 +124,9 @@ class TestDifferential:
 
     def test_single_row_equals_scc_labels_dispatch(self):
         g = random_graph(80, 300, seed=1)
-        via_dispatch = Partition(scc_labels(g.indptr, g.heads,
-                                            backend="multi"))
-        ref = Partition(scc_labels(g.indptr, g.heads, backend="tarjan"))
-        assert via_dispatch == ref
-
-    def test_int32_union_domain(self):
-        # Each sample alone sits below the 256k size gate; the union of
-        # eight crosses it, so the batch runs on int32 indices.
-        g = random_graph(20_000, 60_000, seed=7)
-        keep = random_keep(g.m, r=8, seed=7, density=0.5)
+        keep = np.ones((1, g.m), dtype=bool)
         rows = multi_scc_labels(g.indptr, g.heads, keep)
-        for i in (0, 3, 7):
-            sip, sh = masked_csr(g.indptr, g.heads, keep[i])
-            assert Partition(rows[i]) == Partition(
-                scc_labels(sip, sh, backend="fwbw"))
+        assert np.array_equal(rows[0], scc_labels(g.indptr, g.heads))
 
     def test_keep_shape_validation(self):
         g = random_graph(10, 30, seed=0)
@@ -177,43 +136,9 @@ class TestDifferential:
         with pytest.raises(ValueError, match="one column per"):
             multi_scc_labels(g.indptr, g.heads,
                              np.ones((2, g.m + 1), dtype=bool))
-
-    def test_stats_shape_and_occupancy(self):
-        g = random_graph(100, 400, seed=3)
-        keep = random_keep(g.m, r=6, seed=3)
-        rows, stats = multi_scc_labels(g.indptr, g.heads, keep,
-                                       return_stats=True)
-        assert isinstance(stats, MultiStats)
-        assert stats.samples == 6
-        assert stats.rounds >= 1
-        assert stats.processed_edges > 0
-        assert stats.masked_edges == 0  # no blocks given
-        # Occupancy: every kernel round serves between 1 and r live rounds.
-        assert stats.rounds <= stats.occupancy <= stats.rounds * 6
-        assert 0 <= stats.retired_rounds < 6
-        assert rows.shape == (6, g.n)
-
-    def test_uneven_rounds_retire_early(self):
-        # Round 0 is edgeless (trimmed away in kernel round one); round 1
-        # keeps two disjoint cycles, so its single initial part needs a
-        # second kernel round for the cycle the first pivot missed.  Early
-        # retirement must report the vanished round while the survivor
-        # finishes.
-        n = 200
-        half = n // 2
-        left = np.arange(half)
-        right = half + np.arange(half)
-        tails = np.concatenate([left, right])
-        heads = np.concatenate([(left + 1) % half,
-                                half + (right - half + 1) % half])
-        indptr, h = csr(n, tails, heads)
-        keep = np.stack([np.zeros(n, dtype=bool), np.ones(n, dtype=bool)])
-        rows, stats = multi_scc_labels(indptr, h, keep, return_stats=True)
-        assert Partition(rows[0]).n_blocks == n
-        assert Partition(rows[1]).n_blocks == 2
-        assert stats.rounds >= 2
-        assert stats.retired_rounds == 1
-        assert stats.occupancy < stats.rounds * 2
+        with pytest.raises(AlgorithmError, match="unknown"):
+            multi_scc_labels(g.indptr, g.heads,
+                             np.ones((2, g.m), dtype=bool), backend="bogus")
 
 
 class TestProperty:
@@ -233,7 +158,7 @@ class TestProperty:
         pairs = sorted({(u, v) for u, v in pairs if u != v})
         tails = np.asarray([u for u, _ in pairs], dtype=np.int64)
         heads_in = np.asarray([v for _, v in pairs], dtype=np.int64)
-        indptr, h = csr(n, tails, heads_in)
+        indptr, h = csr_arrays(n, tails, heads_in)
         keep = np.asarray(
             data.draw(
                 st.lists(
@@ -244,72 +169,15 @@ class TestProperty:
             ),
             dtype=bool,
         ).reshape(r, h.size)
-        rows = multi_scc_labels(indptr, h, keep)
         base_tails = np.repeat(np.arange(n, dtype=np.int64),
                                np.diff(indptr))
-        for i in range(r):
-            reach = reachability(n, base_tails[keep[i]], h[keep[i]])
-            mutual = reach & reach.T
-            same = rows[i][:, None] == rows[i][None, :]
-            assert (same == mutual).all(), i
-
-
-class TestRefinement:
-    def test_conduit_counterexample_per_round(self):
-        # u, v share a block; w is a frozen singleton; the only cycle runs
-        # u -> w -> v -> u.  A round keeping all three edges must keep
-        # {u, v} together; a round dropping the conduit edge must not.
-        u, w, v = 0, 1, 2
-        indptr, h = csr(3, [u, w, v], [w, v, u])
-        blocks = np.array([0, 1, 0], dtype=np.int64)
-        keep = np.array([[True, True, True],
-                         [True, False, True]])
-        rows = multi_scc_labels(indptr, h, keep, block_labels=blocks)
-        meet0 = Partition(rows[0]).meet(Partition(blocks))
-        meet1 = Partition(rows[1]).meet(Partition(blocks))
-        assert meet0.labels[u] == meet0.labels[v]
-        assert meet1.labels[u] != meet1.labels[v]
-
-    def test_blocks_tile_across_rounds(self):
-        g = random_graph(60, 240, seed=5)
-        blocks = robust_scc_partition(g, 2, rng=0).labels
-        keep = random_keep(g.m, r=4, seed=5)
-        rows = multi_scc_labels(g.indptr, g.heads, keep, block_labels=blocks)
-        assert_rows_match(g.indptr, g.heads, keep, rows, backend="tarjan",
-                          blocks=blocks)
-
-    def test_frozen_and_masked_counters_flow_through_obs(self, monkeypatch):
-        # A stable core of p=1 two-cycles plus a low-probability periphery:
-        # the periphery singletonises (freezes) in the first refinement
-        # chunk while the core blocks survive, so later chunks retire
-        # frozen-only parts and mask their live out-edges.  Pin the chunk
-        # width — the adaptive cap would fold this small graph in one
-        # chunk, and masking needs a later chunk to exist.
-        import repro.core.robust_scc as robust_scc_module
-        monkeypatch.setattr(robust_scc_module, "multi_chunk_cap",
-                            lambda m: 4)
-        g = _core_periphery_graph()
-        registry = obs.MetricsRegistry()
-        with obs.use_metrics(registry):
-            robust_scc_partition(g, 12, rng=3, scc_backend="multi",
-                                 refine=True)
-        assert registry.counter("scc.frozen_vertices") > 0
-        assert registry.counter("scc.masked_edges") > 0
-        assert registry.counter("scc.multi.runs") > 0
-        assert registry.counter("scc.multi.samples") == 12
-        assert registry.counter("scc.multi.occupancy") > 0
-
-    def test_all_singleton_blocks_short_circuit(self):
-        g = random_graph(50, 200, seed=11)
-        blocks = np.arange(g.n, dtype=np.int64)
-        keep = np.ones((3, g.m), dtype=bool)
-        rows, stats = multi_scc_labels(g.indptr, g.heads, keep,
-                                       block_labels=blocks,
-                                       return_stats=True)
-        assert stats.frozen_vertices == 3 * g.n
-        for i in range(3):
-            meet = Partition(rows[i]).meet(Partition(blocks))
-            assert meet.n_blocks == g.n
+        for backend in SCC_BACKENDS:
+            rows = multi_scc_labels(indptr, h, keep, backend=backend)
+            for i in range(r):
+                reach = reachability(n, base_tails[keep[i]], h[keep[i]])
+                mutual = reach & reach.T
+                same = rows[i][:, None] == rows[i][None, :]
+                assert (same == mutual).all(), (backend, i)
 
 
 class TestFoldEquivalence:
@@ -317,19 +185,16 @@ class TestFoldEquivalence:
     @pytest.mark.parametrize("r", [1, 3, 9])
     def test_robust_partition_bit_for_bit(self, seed, r):
         g = random_graph(80, 320, seed=seed, p_low=0.1, p_high=0.6)
-        for refine in (None, False, True):
-            a = robust_scc_partition(g, r, rng=seed, scc_backend="fwbw",
-                                     refine=refine)
-            b = robust_scc_partition(g, r, rng=seed, scc_backend="multi",
-                                     refine=refine)
-            assert np.array_equal(a.labels, b.labels), (refine,)
+        a = robust_scc_partition(g, r, rng=seed, scc_backend="scipy")
+        b = robust_scc_partition(g, r, rng=seed, scc_backend="tarjan")
+        assert np.array_equal(a.labels, b.labels)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_kept_samples_identical(self, seed):
         g = random_graph(50, 200, seed=seed)
-        pa, sa = robust_scc_partition(g, 5, rng=seed, scc_backend="fwbw",
+        pa, sa = robust_scc_partition(g, 5, rng=seed, scc_backend="scipy",
                                       keep_samples=True)
-        pb, sb = robust_scc_partition(g, 5, rng=seed, scc_backend="multi",
+        pb, sb = robust_scc_partition(g, 5, rng=seed, scc_backend="tarjan",
                                       keep_samples=True)
         assert np.array_equal(pa.labels, pb.labels)
         assert len(sa) == len(sb) == 5
@@ -339,92 +204,76 @@ class TestFoldEquivalence:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_coarse_graph_digest_identical(self, seed):
-        g = random_graph(60, 260, seed=seed)
-        a = coarsen_addressable(g, r=6, seed=seed, scc_backend="fwbw")
-        b = coarsen_addressable(g, r=6, seed=seed, scc_backend="multi")
-        assert np.array_equal(a.pi, b.pi)
-        assert a.coarse.digest() == b.coarse.digest()
+        # Both coin disciplines: Algorithm 1's sequential stream and the
+        # addressable coins the dynamic coarsener rebuilds against.
+        g = random_graph(80, 400, seed=seed, p_low=0.05, p_high=0.9)
+        for coarsen_with in (
+            lambda backend: coarsen_influence_graph(g, r=6, rng=seed,
+                                                    scc_backend=backend),
+            lambda backend: coarsen_addressable(g, r=6, seed=seed,
+                                                scc_backend=backend),
+        ):
+            a, b = coarsen_with("scipy"), coarsen_with("tarjan")
+            assert a.partition == b.partition
+            assert np.array_equal(a.pi, b.pi)
+            assert a.coarse.digest() == b.coarse.digest()
 
     def test_r_zero_is_trivial(self):
         g = random_graph(20, 60, seed=0)
-        assert robust_scc_partition(g, 0, rng=0,
-                                    scc_backend="multi").n_blocks == 1
-
-    def test_chunk_cap_policy(self):
-        # Wider on smaller graphs (amortisation), floor on big ones, and
-        # always at least the refinement chunk.
-        assert multi_chunk_cap(100_000) == MULTI_REFINE_CHUNK
-        assert multi_chunk_cap(1) > multi_chunk_cap(1_000)
-        assert multi_chunk_cap(0) >= MULTI_REFINE_CHUNK
-        caps = [multi_chunk_cap(m) for m in (10, 100, 1_000, 10_000, 100_000)]
-        assert caps == sorted(caps, reverse=True)
-
-    @pytest.mark.parametrize("cap", [1, 2, 5, 100])
-    def test_fold_invariant_to_chunk_width(self, cap, monkeypatch):
-        # Chunking is a performance knob only: any width must produce the
-        # same labels, because masks are drawn in fold order regardless.
-        import repro.core.robust_scc as robust_scc_module
-        g = random_graph(70, 280, seed=2, p_low=0.2, p_high=0.7)
-        baseline = robust_scc_partition(g, 7, rng=1, scc_backend="multi")
-        monkeypatch.setattr(robust_scc_module, "multi_chunk_cap",
-                            lambda m: cap)
-        chunked = robust_scc_partition(g, 7, rng=1, scc_backend="multi")
-        assert np.array_equal(baseline.labels, chunked.labels)
+        assert robust_scc_partition(g, 0, rng=0).n_blocks == 1
 
 
 class TestDynamicBatched:
-    def test_coarsener_matches_fwbw_across_batches(self):
+    def test_coarsener_matches_cold_rebuild_across_batches(self):
+        # Init and every refresh recompute SCCs through multi_scc_labels;
+        # the maintained model must equal a cold per-round rebuild.
         g = random_graph(40, 170, seed=2, p_low=0.1, p_high=0.8)
-        da = DynamicCoarsener(g, r=6, rng=3, scc_backend="fwbw",
-                              coins="addressable")
-        db = DynamicCoarsener(g, r=6, rng=3, scc_backend="multi",
-                              coins="addressable")
+        live = {backend: DynamicCoarsener(g, r=6, rng=3, scc_backend=backend,
+                                          coins="addressable")
+                for backend in SCC_BACKENDS}
         batches = [
             [Delta("insert", 0, 25, 0.7), Delta("insert", 25, 0, 0.7)],
             [Delta("delete", 0, 25)],
             [Delta("insert", 1, 30, 0.6), Delta("insert", 30, 2, 0.6),
              Delta("insert", 2, 1, 0.6)],
         ]
-        for batch in batches:
-            da.apply_deltas(batch)
-            db.apply_deltas(batch)
-            ra, rb = da.snapshot(), db.snapshot()
-            assert np.array_equal(ra.pi, rb.pi)
-            assert ra.coarse.digest() == rb.coarse.digest()
-        sa, sb = da.stats, db.stats
-        # The deferral bookkeeping is backend-independent: both paths
-        # account one skip-or-recompute per (delta, sample) event.
-        assert (sa.scc_recomputations + sa.scc_skipped
-                == sb.scc_recomputations + sb.scc_skipped)
+        for batch in [[]] + batches:
+            for coarsener in live.values():
+                if batch:
+                    coarsener.apply_deltas(batch)
+            current = live[DEFAULT_SCC_BACKEND].current_graph()
+            cold = coarsen_addressable(current, r=6, seed=3,
+                                       scc_backend="tarjan")
+            for backend, coarsener in live.items():
+                snap = coarsener.snapshot()
+                assert np.array_equal(snap.pi, cold.pi), backend
+                assert snap.coarse.digest() == cold.coarse.digest(), backend
+        stats = [c.stats for c in live.values()]
+        # The deferral bookkeeping is backend-independent: every path
+        # accounts one skip-or-recompute per (delta, sample) event.
+        assert len({s.scc_recomputations + s.scc_skipped for s in stats}) == 1
+        assert stats[0].scc_recomputations > 0
 
 
 class TestBackendRegistry:
     def test_menu_is_registry_derived(self):
-        assert SCC_BACKENDS == available_backends()
-        assert "multi" in SCC_BACKENDS
-        assert "semi-external" not in SCC_BACKENDS
-        assert "semi-external" in available_backends(streaming=True)
+        assert SCC_BACKENDS == available_backends() == ("scipy", "tarjan")
+        assert DEFAULT_SCC_BACKEND == "scipy"
+        assert available_backends(streaming=True) == (
+            "scipy", "tarjan", "semi-external")
 
     def test_specs_expose_capabilities(self):
-        assert backend_spec("multi").supports_batch
-        assert backend_spec("multi").supports_block_labels
-        assert backend_spec("fwbw").supports_block_labels
-        assert not backend_spec("tarjan").supports_batch
-        assert backend_spec("scipy").optional
         assert backend_spec("semi-external").streaming
-        assert isinstance(backend_spec("fwbw"), BackendSpec)
+        assert not backend_spec("scipy").streaming
+        assert isinstance(backend_spec("tarjan"), BackendSpec)
 
     def test_unknown_backend_lists_full_menu(self):
-        with pytest.raises(AlgorithmError, match="semi-external"):
-            backend_spec("fwbw-typo")
+        with pytest.raises(AlgorithmError, match="semi-external") as err:
+            backend_spec("scipy-typo")
+        for name in available_backends(streaming=True):
+            assert repr(name) in str(err.value)
 
     def test_streaming_backend_fails_early_in_scc_labels(self):
         g = random_graph(10, 30, seed=0)
         with pytest.raises(AlgorithmError, match="sublinear"):
             scc_labels(g.indptr, g.heads, backend="semi-external")
-
-    def test_refine_error_names_capable_backends(self):
-        g = random_graph(10, 30, seed=0)
-        with pytest.raises(AlgorithmError, match="multi"):
-            robust_scc_partition(g, 2, rng=0, scc_backend="kosaraju",
-                                 refine=True)

@@ -31,7 +31,7 @@ from .conftest import random_graph
 
 def make_key(tag: str = "a", r: int = 4) -> ModelKey:
     return ModelKey(graph_digest=tag, r=r, seed=0,
-                    scc_backend="fwbw", executor="serial")
+                    scc_backend="scipy", executor="serial")
 
 
 @pytest.fixture
@@ -47,18 +47,18 @@ def model(graph):
 class TestModelKey:
     def test_content_addressing(self, graph):
         g2 = random_graph(120, 500, seed=3)  # same content, new object
-        a = ModelKey.for_graph(graph, 4, 0, "fwbw", "serial")
-        b = ModelKey.for_graph(g2, 4, 0, "fwbw", "serial")
+        a = ModelKey.for_graph(graph, 4, 0, "scipy", "serial")
+        b = ModelKey.for_graph(g2, 4, 0, "scipy", "serial")
         assert a == b
         assert a.token() == b.token()
 
     def test_any_parameter_changes_the_key(self, graph):
-        base = ModelKey.for_graph(graph, 4, 0, "fwbw", "serial")
-        assert ModelKey.for_graph(graph, 5, 0, "fwbw", "serial") != base
-        assert ModelKey.for_graph(graph, 4, 1, "fwbw", "serial") != base
+        base = ModelKey.for_graph(graph, 4, 0, "scipy", "serial")
+        assert ModelKey.for_graph(graph, 5, 0, "scipy", "serial") != base
+        assert ModelKey.for_graph(graph, 4, 1, "scipy", "serial") != base
         assert ModelKey.for_graph(graph, 4, 0, "tarjan", "serial") != base
         other = random_graph(120, 500, seed=4)
-        assert ModelKey.for_graph(other, 4, 0, "fwbw", "serial") != base
+        assert ModelKey.for_graph(other, 4, 0, "scipy", "serial") != base
 
     def test_digest_is_cached_and_stable(self, graph):
         assert graph.digest() == graph.digest()
@@ -106,7 +106,7 @@ class TestModelCache:
     def test_warm_start_round_trip(self, tmp_path, graph, model):
         warm = tmp_path / "warm"
         a = ModelCache(max_models=2, warm_dir=warm)
-        key = ModelKey.for_graph(graph, 4, 0, "fwbw", "serial")
+        key = ModelKey.for_graph(graph, 4, 0, "scipy", "serial")
         path = a.store_warm(key, model)
         assert path is not None
         # A fresh cache (fresh process, conceptually) warm-loads it.
@@ -120,7 +120,7 @@ class TestModelCache:
                                                     model):
         warm = tmp_path / "warm"
         a = ModelCache(max_models=2, warm_dir=warm)
-        key = ModelKey.for_graph(graph, 4, 0, "fwbw", "serial")
+        key = ModelKey.for_graph(graph, 4, 0, "scipy", "serial")
         path = a.store_warm(key, model)
         other = make_key("forged", r=9)
         (warm / (other.token() + ".npz")).write_bytes(
@@ -132,7 +132,7 @@ class TestModelCache:
     def test_corrupt_warm_archive_degrades_to_miss(self, tmp_path, graph):
         warm = tmp_path / "warm"
         warm.mkdir()
-        key = ModelKey.for_graph(graph, 4, 0, "fwbw", "serial")
+        key = ModelKey.for_graph(graph, 4, 0, "scipy", "serial")
         (warm / (key.token() + ".npz")).write_bytes(b"not an archive")
         cache = ModelCache(max_models=2, warm_dir=warm)
         assert cache.get(key) is None

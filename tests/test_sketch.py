@@ -244,7 +244,7 @@ class TestRegistry:
 
 class TestModelKeyState:
     def test_state_dimension_separates_artifacts(self):
-        key = ModelKey("digest", 4, 0, "fwbw", "serial")
+        key = ModelKey("digest", 4, 0, "scipy", "serial")
         assert key.state == "model"
         pool, sketch = key.for_state("pool"), key.for_state("sketch")
         assert len({key, pool, sketch}) == 3
